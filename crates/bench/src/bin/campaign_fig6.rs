@@ -26,8 +26,10 @@ fn main() {
         println!("speedup        : {:>10.1}x\n", hm.speedup());
     }
     println!(
-        "paper shape preserved: the scheduler-driven matrix reproduces the\n\
-         loop-driven Fig. 6 cells exactly (same per-cell seeds), and the\n\
-         identical resubmission never touches a VM."
+        "paper shape preserved: the scheduler-driven matrix measures the same\n\
+         cells as the loop-driven Fig. 6, seeded per cell from the SHA-256 of\n\
+         the cell identity rather than fig6_heatmap's FNV label mix, so single\n\
+         ratios can differ by a few hundredths; the identical resubmission\n\
+         never touches a VM."
     );
 }

@@ -5,16 +5,20 @@
 //! requests from the gateway, routes them to the right VM, runs the
 //! function under `perf stat`, and returns timing plus counters.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use confbench_faasrt::FunctionLauncher;
+use confbench_faasrt::{FaasFunction, FunctionLauncher, LaunchOutput};
 use confbench_httpd::{Method, Response, Router, Server, ServerConfig};
-use confbench_obs::{MetricsRegistry, SpanRecorder};
+use confbench_obs::{Counter, MetricsRegistry, SpanRecorder};
 use confbench_perfmon::PerfStat;
-use confbench_types::{Error, Result, RunRequest, RunResult, TeePlatform, VmKind, VmTarget};
+use confbench_types::{
+    Error, FunctionSpec, Language, Op, Result, RunRequest, RunResult, TeePlatform, VmKind, VmTarget,
+};
 use confbench_vmm::TeeFaultPlan;
 use confbench_workloads::GpuInferenceWorkload;
+use parking_lot::Mutex;
 
 /// Name of the host-level GPU-offload scenario: not a FaaS function (it has
 /// no CBScript twin) but a native workload the host runs directly, with the
@@ -65,6 +69,83 @@ impl Default for HostConfig {
     }
 }
 
+/// Launches a host keeps for reuse. A campaign queues a cell's secure and
+/// normal runs next to each other, so a few entries catch the second.
+const LAUNCH_CACHE_CAPACITY: usize = 8;
+
+/// Bytes of traces and text the kept launches may hold together. Launch
+/// sizes span three orders of magnitude, so an entry count alone would let
+/// a few large traces pin memory; the newest launch is kept regardless.
+const LAUNCH_CACHE_BYTES: usize = 256 << 10;
+
+/// Heap bytes a kept launch holds: its traces and its text.
+fn footprint(output: &LaunchOutput) -> usize {
+    (output.trace.len() + output.startup_trace.len()) * size_of::<Op>()
+        + output.log.len()
+        + output.output.len()
+}
+
+/// Everything a launch's output depends on. The function's name is part of
+/// it because the managed-runtime paths of a built-in run its native twin,
+/// not its script: an upload of a built-in's script text traces differently.
+struct LaunchKey {
+    language: Language,
+    name: String,
+    script: String,
+    args: Vec<String>,
+}
+
+impl LaunchKey {
+    fn matches(&self, language: Language, function: &dyn FaasFunction, args: &[String]) -> bool {
+        self.language == language
+            && self.name == function.name()
+            && self.script == function.script()
+            && self.args == args
+    }
+}
+
+/// The host's most recent successful launches, most recent first.
+#[derive(Default)]
+struct LaunchCache {
+    entries: VecDeque<(LaunchKey, Arc<LaunchOutput>)>,
+}
+
+impl LaunchCache {
+    fn get(
+        &mut self,
+        language: Language,
+        function: &dyn FaasFunction,
+        args: &[String],
+    ) -> Option<Arc<LaunchOutput>> {
+        let pos = self.entries.iter().position(|(key, _)| key.matches(language, function, args))?;
+        let entry = self.entries.remove(pos)?;
+        let output = Arc::clone(&entry.1);
+        self.entries.push_front(entry);
+        Some(output)
+    }
+
+    fn insert(&mut self, key: LaunchKey, output: Arc<LaunchOutput>) {
+        self.entries.push_front((key, output));
+        let mut bytes = 0;
+        let within_bounds = self
+            .entries
+            .iter()
+            .take(LAUNCH_CACHE_CAPACITY)
+            .take_while(|(_, output)| {
+                bytes += footprint(output);
+                bytes <= LAUNCH_CACHE_BYTES
+            })
+            .count();
+        self.entries.truncate(within_bounds.max(1));
+    }
+}
+
+/// `host_launch_cache_{hits,misses}_total` for one host.
+struct LaunchCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
 /// A host machine capable of instantiating confidential VMs for one
 /// platform.
 ///
@@ -91,6 +172,8 @@ pub struct HostAgent {
     store: Arc<FunctionStore>,
     recorder: SpanRecorder,
     metrics: Option<Arc<MetricsRegistry>>,
+    launches: Mutex<LaunchCache>,
+    launch_counters: Option<LaunchCounters>,
 }
 
 impl HostAgent {
@@ -137,6 +220,13 @@ impl HostAgent {
             )
             .with_attest(config.attest.clone())
         };
+        let launch_counters = config.metrics.as_ref().map(|registry| {
+            let label = format!("{{platform=\"{platform}\"}}");
+            LaunchCounters {
+                hits: registry.counter(&format!("host_launch_cache_hits_total{label}")),
+                misses: registry.counter(&format!("host_launch_cache_misses_total{label}")),
+            }
+        });
         HostAgent {
             platform,
             secure: supervisor(VmTarget::secure(platform)),
@@ -144,6 +234,8 @@ impl HostAgent {
             store,
             recorder,
             metrics: config.metrics,
+            launches: Mutex::new(LaunchCache::default()),
+            launch_counters,
         }
     }
 
@@ -161,7 +253,8 @@ impl HostAgent {
     }
 
     /// Executes a request on the targeted VM: launches the function through
-    /// its language runtime, replays the launcher bootstrap unmeasured, then
+    /// its language runtime (or reuses one of the host's recent identical
+    /// launches), replays the launcher bootstrap unmeasured, then
     /// measures `trials` independent executions (the paper's methodology:
     /// 10 trials, bootstrap excluded, averages reported).
     ///
@@ -189,10 +282,7 @@ impl HostAgent {
             .get(&request.function.name)
             .ok_or_else(|| Error::UnknownFunction(request.function.name.clone()))?;
 
-        let launcher = FunctionLauncher::new(request.function.language);
-        let output = launcher
-            .launch(&function, &request.function.args)
-            .map_err(|e| Error::Workload(e.to_string()))?;
+        let output = self.launch(&function, &request.function)?;
 
         let supervisor = self.supervisor(request.target.kind);
         let trials = request.trials.max(1);
@@ -237,9 +327,42 @@ impl HostAgent {
             trial_ms,
             trial_cycles,
             perf: sample.report,
-            output: output.output,
+            output: output.output.clone(),
             trace: Some(span.finish()),
         })
+    }
+
+    /// Launches `spec` through its language runtime, or hands back the
+    /// output of an identical earlier launch: launches are deterministic, so
+    /// a cell's secure and normal runs share one trace. Failed launches are
+    /// not kept.
+    fn launch(
+        &self,
+        function: &dyn FaasFunction,
+        spec: &FunctionSpec,
+    ) -> Result<Arc<LaunchOutput>> {
+        let cached = self.launches.lock().get(spec.language, function, &spec.args);
+        if let Some(output) = cached {
+            if let Some(counters) = &self.launch_counters {
+                counters.hits.inc();
+            }
+            return Ok(output);
+        }
+        if let Some(counters) = &self.launch_counters {
+            counters.misses.inc();
+        }
+        let output = FunctionLauncher::new(spec.language)
+            .launch(function, &spec.args)
+            .map(Arc::new)
+            .map_err(|e| Error::Workload(e.to_string()))?;
+        let key = LaunchKey {
+            language: spec.language,
+            name: function.name().to_owned(),
+            script: function.script().to_owned(),
+            args: spec.args.clone(),
+        };
+        self.launches.lock().insert(key, Arc::clone(&output));
+        Ok(output)
     }
 
     /// The [`GPU_INFERENCE`] scenario: a native workload executed without
@@ -368,10 +491,134 @@ impl HostAgent {
 mod tests {
     use super::*;
     use confbench_httpd::Request;
-    use confbench_types::{FunctionSpec, Language};
+    use confbench_workloads::{faas_registry, heatmap_quick_args};
 
     fn host(platform: TeePlatform) -> HostAgent {
         HostAgent::new(platform, Arc::new(FunctionStore::new()), 1)
+    }
+
+    /// A TDX host over `store` with its own metrics registry.
+    fn metered_host(store: Arc<FunctionStore>) -> (HostAgent, Arc<MetricsRegistry>) {
+        let registry = Arc::new(MetricsRegistry::new());
+        let config =
+            HostConfig { seed: 1, metrics: Some(Arc::clone(&registry)), ..HostConfig::default() };
+        let h = HostAgent::with_config(TeePlatform::Tdx, store, SpanRecorder::default(), config);
+        (h, registry)
+    }
+
+    /// (hits, misses) of the launch cache.
+    fn launch_counts(registry: &MetricsRegistry) -> (u64, u64) {
+        let count = |name: &str| {
+            registry.counter_value(&format!("{name}{{platform=\"tdx\"}}")).unwrap_or_default()
+        };
+        (count("host_launch_cache_hits_total"), count("host_launch_cache_misses_total"))
+    }
+
+    fn spec(name: &str, language: Language, args: &[&str]) -> FunctionSpec {
+        FunctionSpec { name: name.into(), language, args: args.iter().map(|&a| a.into()).collect() }
+    }
+
+    /// Launches `spec` through the host's cache and checks the result
+    /// against a fresh launch.
+    fn launch_checked(h: &HostAgent, spec: &FunctionSpec) -> Arc<LaunchOutput> {
+        let function = h.store.get(&spec.name).expect("function in store");
+        let launched = h.launch(&function, spec).unwrap();
+        let fresh = FunctionLauncher::new(spec.language).launch(&function, &spec.args).unwrap();
+        assert_eq!(*launched, fresh, "{spec:?}");
+        launched
+    }
+
+    #[test]
+    fn reused_launches_equal_fresh_ones_across_the_suite() {
+        let (h, registry) = metered_host(Arc::new(FunctionStore::new()));
+        for workload in faas_registry() {
+            let args = heatmap_quick_args(workload.name());
+            for language in Language::ALL {
+                let spec =
+                    FunctionSpec { name: workload.name().into(), language, args: args.clone() };
+                let first = h.launch(&workload, &spec).unwrap();
+                let reused = launch_checked(&h, &spec);
+                assert!(Arc::ptr_eq(&first, &reused), "{spec:?} was launched twice");
+            }
+        }
+        assert_eq!(launch_counts(&registry), (175, 175));
+    }
+
+    #[test]
+    fn launches_are_reused_only_for_the_same_language_function_and_args() {
+        let store = Arc::new(FunctionStore::new());
+        let factors = store.get("factors").unwrap();
+        store.upload("factors-copy", factors.script()).unwrap();
+        store.upload("succ", "result(int(ARGS[0]) + 1);").unwrap();
+        let (h, registry) = metered_host(store);
+        let variants = [
+            spec("factors", Language::Go, &["28"]),
+            spec("factors", Language::Go, &["360360"]),
+            spec("factors", Language::Python, &["28"]),
+            spec("factors-copy", Language::Go, &["28"]),
+            spec("succ", Language::Go, &["28"]),
+        ];
+        let first: Vec<_> = variants.iter().map(|v| launch_checked(&h, v)).collect();
+        assert_eq!(launch_counts(&registry), (0, 5), "no two variants alias");
+        for (variant, first) in variants.iter().zip(&first) {
+            assert!(Arc::ptr_eq(&launch_checked(&h, variant), first), "{variant:?}");
+        }
+        assert_eq!(launch_counts(&registry), (5, 5));
+        // The copy runs its script, the built-in its native twin.
+        assert_ne!(first[0].trace, first[3].trace);
+    }
+
+    #[test]
+    fn failed_launches_are_not_kept_and_the_cache_is_bounded() {
+        let (h, registry) = metered_host(Arc::new(FunctionStore::new()));
+        let factors = h.store.get("factors").unwrap();
+        let bad = spec("factors", Language::Go, &["not-a-number"]);
+        for _ in 0..2 {
+            assert!(matches!(h.launch(&factors, &bad), Err(Error::Workload(_))));
+        }
+        assert_eq!(launch_counts(&registry), (0, 2), "a failed launch is retried, not cached");
+        assert!(h.launches.lock().entries.is_empty());
+
+        let args: Vec<String> = (0..=LAUNCH_CACHE_CAPACITY).map(|n| (n + 2).to_string()).collect();
+        for arg in &args {
+            launch_checked(&h, &spec("factors", Language::Go, &[arg]));
+        }
+        assert_eq!(h.launches.lock().entries.len(), LAUNCH_CACHE_CAPACITY);
+        launch_checked(&h, &spec("factors", Language::Go, &[&args[LAUNCH_CACHE_CAPACITY]]));
+        assert_eq!(launch_counts(&registry).0, 1, "the newest entry is kept");
+        launch_checked(&h, &spec("factors", Language::Go, &[&args[0]]));
+        assert_eq!(launch_counts(&registry).0, 1, "the oldest entry was evicted");
+    }
+
+    #[test]
+    fn kept_launches_stay_within_the_byte_bound() {
+        let (h, registry) = metered_host(Arc::new(FunctionStore::new()));
+        // Each Lua launch of `logging 2000` holds about 100 KiB of trace
+        // and log text, so only two fit the bound together.
+        let big = |n: usize| spec("logging", Language::Lua, &[&(2000 + n).to_string()]);
+        for n in 0..4 {
+            launch_checked(&h, &big(n));
+        }
+        let kept: Vec<usize> =
+            h.launches.lock().entries.iter().map(|(_, o)| footprint(o)).collect();
+        assert!(kept.len() < 4 && kept.iter().sum::<usize>() <= LAUNCH_CACHE_BYTES, "{kept:?}");
+        launch_checked(&h, &big(3));
+        assert_eq!(launch_counts(&registry), (1, 4), "the newest launch is kept");
+        // A launch larger than the bound on its own is still kept.
+        let huge = spec("logging", Language::Lua, &["20000"]);
+        launch_checked(&h, &huge);
+        launch_checked(&h, &huge);
+        assert_eq!(launch_counts(&registry), (2, 5));
+        assert_eq!(h.launches.lock().entries.len(), 1);
+    }
+
+    #[test]
+    fn a_cells_secure_and_normal_runs_share_one_launch() {
+        let (h, registry) = metered_host(Arc::new(FunctionStore::new()));
+        let secure = h.execute(&request(TeePlatform::Tdx, VmKind::Secure)).unwrap();
+        let normal = h.execute(&request(TeePlatform::Tdx, VmKind::Normal)).unwrap();
+        assert_eq!(secure.output, normal.output);
+        assert_eq!(launch_counts(&registry), (1, 1));
     }
 
     fn request(platform: TeePlatform, kind: VmKind) -> RunRequest {

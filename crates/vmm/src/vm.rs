@@ -585,6 +585,9 @@ impl Vm {
         let mut dev_kernels = 0u64;
         let mut dev_kernel_ns = 0u64;
 
+        if let Some(cache) = &mut self.cache {
+            cache.begin(trace);
+        }
         for op in trace {
             match *op {
                 Op::Cpu(n) => {
@@ -802,6 +805,9 @@ impl Vm {
                     exits += flushes;
                 }
             }
+        }
+        if let Some(cache) = &mut self.cache {
+            cache.end();
         }
 
         // Per-trial multiplicative jitter, then the simulation layer.
@@ -1061,6 +1067,15 @@ impl Vm {
         Ok(())
     }
 
+    /// Simulates every execution in full: the reference the replay
+    /// oracles compare against.
+    #[cfg(test)]
+    fn disable_cache_replay(&mut self) {
+        if let Some(cache) = &mut self.cache {
+            cache.disable_replay();
+        }
+    }
+
     /// Maps a written virtual address run onto resident guest pages and
     /// marks them dirty. The mapping is deterministic (address-derived), so
     /// the dirty stream replays exactly under a fixed workload.
@@ -1113,9 +1128,10 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confbench_faasrt::LaunchOutput;
     use confbench_obs::SpanRecorder;
     use confbench_types::ManualClock;
-    use std::sync::Arc;
+    use std::sync::{Arc, OnceLock};
 
     fn io_heavy_trace() -> OpTrace {
         let mut t = OpTrace::new();
@@ -1461,5 +1477,132 @@ mod tests {
         let mut root = rec.root("vm.execute");
         let rb = b.execute_spanned(&trace, &mut root);
         assert_eq!(ra, rb, "instrumentation must not perturb the simulation");
+    }
+
+    /// A VM and its replay-free twin: same target, seed and fault plan.
+    fn replay_pair(target: VmTarget, plan: Option<(u64, f64)>) -> (Vm, Vm) {
+        let build = || {
+            let mut b = TeeVmBuilder::new(target).seed(5);
+            if let Some((seed, rate)) = plan {
+                let plan = TeeFaultPlan::new(seed, 0.0)
+                    .with_rate(TeeMechanism::exit_for(target.platform), rate);
+                b = b.fault_plan(Arc::new(plan));
+            }
+            // Both twins draw the same boot faults, so they boot alike.
+            std::iter::repeat_with(|| b.clone().try_build()).find_map(Result::ok).unwrap()
+        };
+        let memo = build();
+        let mut reference = build();
+        reference.disable_cache_replay();
+        (memo, reference)
+    }
+
+    /// Every suite function's quick-scale launch in every language,
+    /// generated once for the replay oracles.
+    fn suite_launches() -> &'static [(String, LaunchOutput)] {
+        use confbench_faasrt::{FaasFunction, FunctionLauncher};
+        use confbench_types::Language;
+        use confbench_workloads::{faas_registry, heatmap_quick_args};
+        static LAUNCHES: OnceLock<Vec<(String, LaunchOutput)>> = OnceLock::new();
+        LAUNCHES.get_or_init(|| {
+            let mut launches = Vec::new();
+            for workload in faas_registry() {
+                let args = heatmap_quick_args(workload.name());
+                for language in Language::ALL {
+                    let out = FunctionLauncher::new(language).launch(&workload, &args).unwrap();
+                    launches.push((format!("{} {language}", workload.name()), out));
+                }
+            }
+            launches
+        })
+    }
+
+    /// Ten trials of every suite trace on both kinds of `platform`'s VMs:
+    /// the replaying simulator reports exactly what full simulation does.
+    fn replay_matches_full_simulation(platform: TeePlatform) {
+        let (mut trials, mut replayed) = (0, 0);
+        for (cell, out) in suite_launches() {
+            for kind in [VmKind::Secure, VmKind::Normal] {
+                let target = VmTarget { platform, kind };
+                let (mut memo, mut reference) = replay_pair(target, None);
+                assert_eq!(
+                    memo.execute(&out.startup_trace),
+                    reference.execute(&out.startup_trace),
+                    "{cell} {target}: bootstrap"
+                );
+                for trial in 0..10 {
+                    let replays = memo.cache.as_ref().unwrap().at_fixed_point();
+                    trials += 1;
+                    replayed += usize::from(replays);
+                    assert_eq!(
+                        memo.execute(&out.trace),
+                        reference.execute(&out.trace),
+                        "{cell} {target}: trial {trial} (replayed: {replays})"
+                    );
+                }
+            }
+        }
+        // Most trials replay, so the comparison is not vacuous.
+        assert!(replayed * 2 > trials, "{platform}: {replayed} of {trials} trials replayed");
+    }
+
+    #[test]
+    fn cache_replay_matches_full_simulation_on_tdx() {
+        replay_matches_full_simulation(TeePlatform::Tdx);
+    }
+
+    #[test]
+    fn cache_replay_matches_full_simulation_on_snp() {
+        replay_matches_full_simulation(TeePlatform::SevSnp);
+    }
+
+    #[test]
+    fn cache_replay_matches_full_simulation_on_cca() {
+        replay_matches_full_simulation(TeePlatform::Cca);
+    }
+
+    /// A trace whose one world switch sits between two memory runs, so a
+    /// fault there cuts an execution off halfway through its touches. The
+    /// runs (16 and 24 KiB) overflow the 32-KiB L1 together but not alone,
+    /// so a run that skipped the first half's touches would see different
+    /// hits afterwards.
+    fn split_by_a_crossing() -> OpTrace {
+        let mut t = OpTrace::new();
+        for i in 0..16u64 {
+            t.push(Op::MemRead { addr: 0x10_0000 + i * 1024, bytes: 1024 });
+        }
+        t.push(Op::CtxSwitch(1));
+        for i in 0..24u64 {
+            t.push(Op::MemWrite { addr: 0x40_0000 + i * 1024, bytes: 1024 });
+        }
+        t
+    }
+
+    #[test]
+    fn faults_mid_recording_or_replay_leave_the_simulated_cache() {
+        let trace = split_by_a_crossing();
+        for platform in TeePlatform::ALL {
+            let target = VmTarget::secure(platform);
+            let (mut memo, mut reference) = replay_pair(target, Some((31, 0.3)));
+            let (mut cut_recording, mut cut_replay) = (0, 0);
+            let mut after_cut = false;
+            for run in 0..60 {
+                let replays = memo.cache.as_ref().unwrap().at_fixed_point();
+                // A cut recording is never replayed: the next run simulates.
+                assert!(!(after_cut && replays), "{platform} run {run} replayed a cut record");
+                let (got, want) = (memo.try_execute(&trace), reference.try_execute(&trace));
+                after_cut = got.is_err() && !replays;
+                match (&got, replays) {
+                    (Err(_), false) => cut_recording += 1,
+                    (Err(_), true) => cut_replay += 1,
+                    _ => {}
+                }
+                assert_eq!(got, want, "{platform} run {run} (replayed: {replays})");
+            }
+            assert!(
+                cut_recording > 0 && cut_replay > 0,
+                "{platform}: {cut_recording}, {cut_replay}"
+            );
+        }
     }
 }

@@ -107,6 +107,44 @@ pub fn find_workload(name: &str) -> Option<FaasWorkload> {
     faas_registry().into_iter().find(|w| w.name == name)
 }
 
+/// Quick-scale arguments for a suite workload (small enough for tests,
+/// large enough that ratios are stable).
+///
+/// # Panics
+///
+/// Panics for unknown workload names.
+pub fn heatmap_quick_args(name: &str) -> Vec<String> {
+    let args: &[&str] = match name {
+        "cpustress" => &["8000"],
+        "memstress" => &["6"],
+        "iostress" => &["2"],
+        "logging" => &["150"],
+        "factors" => &["360360"],
+        "filesystem" => &["1"],
+        "ack" => &["4", "16"],
+        "fib" => &["13"],
+        "primes" => &["4000"],
+        "matrix" => &["12"],
+        "quicksort" => &["600"],
+        "mergesort" => &["600"],
+        "base64" => &["1500"],
+        "json" => &["40"],
+        "checksum" => &["4000"],
+        "compress" => &["4000"],
+        "mandelbrot" => &["20"],
+        "nbody" => &["200"],
+        "binarytrees" => &["9"],
+        "spectralnorm" => &["20", "2"],
+        "dijkstra" => &["10"],
+        "wordcount" => &["4000"],
+        "histogram" => &["4000"],
+        "montecarlo" => &["3000"],
+        "strings" => &["400"],
+        other => panic!("no quick args for {other}"),
+    };
+    args.iter().map(|s| (*s).to_owned()).collect()
+}
+
 fn w(
     name: &'static str,
     script: &'static str,

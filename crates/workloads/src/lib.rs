@@ -31,6 +31,6 @@ mod scripts;
 mod unixbench;
 
 pub use classic::{dbms_speedtest, InferenceRun, MlWorkload};
-pub use faas::{faas_registry, find_workload, FaasWorkload, WorkloadCategory};
+pub use faas::{faas_registry, find_workload, heatmap_quick_args, FaasWorkload, WorkloadCategory};
 pub use gpu::GpuInferenceWorkload;
 pub use unixbench::{aggregate_index, index_score, unixbench_suite, UnixBenchTest};
